@@ -16,9 +16,7 @@ let read_file path =
   close_in ic;
   s
 
-let run_compiler file opt_level inline_only no_parallel no_vectorize
-    no_interchange no_fuse no_vreuse no_doacross_sync no_pointsto no_range
-    lint why_scalar
+let run_compiler file opt_level inline_only disabled lint why_scalar
     assume_noalias vlen
     procs sched_name
     dump_stages
@@ -32,14 +30,7 @@ let run_compiler file opt_level inline_only no_parallel no_vectorize
       {
         Vpc_server.Service.opt_level;
         inline_only;
-        no_parallel;
-        no_vectorize;
-        no_interchange;
-        no_fuse;
-        no_vreuse;
-        no_doacross_sync;
-        no_pointsto;
-        no_range;
+        disabled;
         assume_noalias;
         vlen;
         catalogs;
@@ -55,6 +46,7 @@ let run_compiler file opt_level inline_only no_parallel no_vectorize
           cache;
         exit 0
     | None -> ());
+    Vpc_server.Service.validate copts;
     let file =
       match file with
       | Some f -> f
@@ -128,39 +120,16 @@ let run_compiler file opt_level inline_only no_parallel no_vectorize
         | Vpc.Titan.Machine.Vi n -> exit (n land 0xFF)
         | Vpc.Titan.Machine.Vf _ -> exit 0)
     | None -> ());
-    let base =
-      match opt_level with
-      | 0 -> Vpc.o0
-      | 1 -> Vpc.o1
-      | 2 -> Vpc.o2
-      | _ -> Vpc.o3
-    in
     let options =
       {
-        base with
-        Vpc.inline =
-          (match inline_only with
-          | [] -> base.Vpc.inline
-          | names -> `Only names);
-        parallelize = base.Vpc.parallelize && not no_parallel;
-        vectorize = base.Vpc.vectorize && not no_vectorize;
-        interchange = base.Vpc.interchange && not no_interchange;
-        fuse = base.Vpc.fuse && not no_fuse;
-        vreuse = base.Vpc.vreuse && not no_vreuse;
-        doacross_sync = base.Vpc.doacross_sync && not no_doacross_sync;
-        pointsto = base.Vpc.pointsto && not no_pointsto;
-        range = base.Vpc.range && not no_range;
-        assume_noalias;
-        vlen;
-        catalogs;
-        dump =
+        (Vpc_server.Service.to_options copts) with
+        Vpc.dump =
           (if dump_stages then
              Some
                (fun stage text ->
                  Printf.printf "=== after %s ===\n%s\n" stage text)
            else None);
         verify = (if verify_il then `Each_stage else `Off);
-        profile = Option.map Vpc.Profile.Data.load profile_use;
         report =
           (if report then Some (fun line -> Printf.eprintf "[pgo] %s\n" line)
            else None);
@@ -174,57 +143,50 @@ let run_compiler file opt_level inline_only no_parallel no_vectorize
       if timings then Some (Vpc.Support.Timing.create ()) else None
     in
     (* simulator-in-the-loop autotuning: --tune searches (and persists
-       winners), --tune-use replays a store, --no-tune forces both off;
-       the compile below replays through [`Use], so a --tune run's
-       artifact is exactly what a later --tune-use run reproduces *)
-    let tuned_store =
-      if no_tune then None
-      else
-        match (tune_out, tune_use) with
-        | Some path, _ ->
-            let existing = Vpc.Profile.Tuned.load_or_empty path in
-            let stamp =
-              1
-              + List.fold_left
-                  (fun m (r : Vpc.Profile.Tuned.record) ->
-                    max m r.Vpc.Profile.Tuned.stamp)
-                  0 existing.Vpc.Profile.Tuned.records
-            in
-            let tr =
-              Vpc.tune ~options ~config ~budget:tune_budget ~stamp
-                ?report:
-                  (if quiet then None
-                   else Some (fun l -> Printf.eprintf "%s\n" l))
-                ?timer ~file src
-            in
-            let merged = Vpc.Profile.Tuned.merge existing tr.Vpc.tuned in
-            Vpc.Profile.Tuned.save merged path;
-            if not quiet then begin
-              let st = tr.Vpc.tune_stats in
-              Printf.eprintf
-                "[tune] %d nests considered, %d improved; %d candidates \
-                 evaluated, %d pruned by cost, %d rejected; %.2fs \
-                 simulating -> %s\n"
-                tr.Vpc.nests_considered tr.Vpc.nests_improved
-                st.Vpc.Tune.Search.evaluated st.Vpc.Tune.Search.pruned
-                st.Vpc.Tune.Search.rejected st.Vpc.Tune.Search.sim_seconds
-                path;
-              Printf.eprintf "[tune] static=%d tuned=%d cycles (%.1f%%)\n"
-                tr.Vpc.static_cycles tr.Vpc.tuned_cycles
-                (if tr.Vpc.static_cycles > 0 then
-                   100.0
-                   *. float_of_int (tr.Vpc.static_cycles - tr.Vpc.tuned_cycles)
-                   /. float_of_int tr.Vpc.static_cycles
-                 else 0.0)
-            end;
-            Some merged
-        | None, Some path -> Some (Vpc.Profile.Tuned.load_or_empty path)
-        | None, None -> None
-    in
+       winners), --tune-use replays a store (already in [options]),
+       --no-tune forces both off; the compile below replays through
+       [`Use], so a --tune run's artifact is exactly what a later
+       --tune-use run reproduces *)
     let options =
-      match tuned_store with
-      | None -> options
-      | Some s -> { options with Vpc.tune = `Use s }
+      match tune_out with
+      | Some path when not no_tune ->
+          let existing = Vpc.Profile.Tuned.load_or_empty path in
+          let stamp =
+            1
+            + List.fold_left
+                (fun m (r : Vpc.Profile.Tuned.record) ->
+                  max m r.Vpc.Profile.Tuned.stamp)
+                0 existing.Vpc.Profile.Tuned.records
+          in
+          let tr =
+            Vpc.tune ~options ~config ~budget:tune_budget ~stamp
+              ?report:
+                (if quiet then None
+                 else Some (fun l -> Printf.eprintf "%s\n" l))
+              ?timer ~file src
+          in
+          let merged = Vpc.Profile.Tuned.merge existing tr.Vpc.tuned in
+          Vpc.Profile.Tuned.save merged path;
+          if not quiet then begin
+            let st = tr.Vpc.tune_stats in
+            Printf.eprintf
+              "[tune] %d nests considered, %d improved; %d candidates \
+               evaluated, %d pruned by cost, %d rejected; %.2fs \
+               simulating -> %s\n"
+              tr.Vpc.nests_considered tr.Vpc.nests_improved
+              st.Vpc.Tune.Search.evaluated st.Vpc.Tune.Search.pruned
+              st.Vpc.Tune.Search.rejected st.Vpc.Tune.Search.sim_seconds
+              path;
+            Printf.eprintf "[tune] static=%d tuned=%d cycles (%.1f%%)\n"
+              tr.Vpc.static_cycles tr.Vpc.tuned_cycles
+              (if tr.Vpc.static_cycles > 0 then
+                 100.0
+                 *. float_of_int (tr.Vpc.static_cycles - tr.Vpc.tuned_cycles)
+                 /. float_of_int tr.Vpc.static_cycles
+               else 0.0)
+          end;
+          { options with Vpc.tune = `Use merged }
+      | _ -> options
     in
     let prog, stats = Vpc.compile ~options ?timer ~file src in
     Option.iter
@@ -354,6 +316,9 @@ let run_compiler file opt_level inline_only no_parallel no_vectorize
   | Sys_error m ->
       Printf.eprintf "%s\n" m;
       exit 1
+  | Vpc_server.Service.Invalid_options m ->
+      Printf.eprintf "titancc: %s\n" m;
+      exit 1
 
 let file_arg =
   Arg.(value & pos 0 (some string) None
@@ -366,44 +331,16 @@ let inline_only_arg =
   Arg.(value & opt_all string [] & info [ "inline" ] ~docv:"NAME"
          ~doc:"Inline only the named functions")
 
-let no_parallel_arg =
-  Arg.(value & flag & info [ "no-parallel" ] ~doc:"Disable parallelization")
-
-let no_vectorize_arg =
-  Arg.(value & flag & info [ "no-vectorize" ] ~doc:"Disable vectorization")
-
-let no_interchange_arg =
-  Arg.(value & flag & info [ "no-interchange" ]
-         ~doc:"Disable loop interchange (nest reordering)")
-
-let no_fuse_arg =
-  Arg.(value & flag & info [ "no-fuse" ]
-         ~doc:"Disable loop fusion and strip sharing")
-
-let no_vreuse_arg =
-  Arg.(value & flag & info [ "no-vreuse" ]
-         ~doc:"Disable vector-register reuse (invariant Vload hoisting, \
-               Vstore-to-Vload forwarding, strip-resident accumulators)")
-
-let no_doacross_sync_arg =
-  Arg.(value & flag & info [ "no-doacross-sync" ]
-         ~doc:"Disable doacross pipelining of carried-dependence DO loops \
-               with post/wait synchronization (on by default at -O2 and \
-               above); such loops stay serial")
-
-let no_pointsto_arg =
-  Arg.(value & flag & info [ "no-pointsto" ]
-         ~doc:"Disable the interprocedural points-to and mod/ref analysis \
-               (on by default at -O2 and above); dependence testing, the \
-               race checker, and inline ranking fall back to worst-case \
-               aliasing")
-
-let no_range_arg =
-  Arg.(value & flag & info [ "no-range" ]
-         ~doc:"Disable the interprocedural symbolic range and \
-               scalar-evolution analysis (on by default at -O2 and above); \
-               dependence testing falls back to unknown symbolic distances \
-               and strip loops keep their runtime length guards")
+(* one --no-<name> flag per {!Vpc.switches} entry, collected as the
+   names of the switches turned off *)
+let disabled_arg =
+  List.fold_right
+    (fun (s : Vpc.switch) rest ->
+      let off = Arg.(value & flag & info [ "no-" ^ s.Vpc.name ] ~doc:s.Vpc.doc) in
+      Term.(
+        const (fun off rest -> if off then s.Vpc.name :: rest else rest)
+        $ off $ rest))
+    Vpc.switches (Term.const [])
 
 let lint_arg =
   Arg.(value & flag & info [ "lint" ]
@@ -542,9 +479,7 @@ let cmd =
     (Cmd.info "titancc" ~doc)
     Term.(
       const run_compiler $ file_arg $ opt_arg $ inline_only_arg
-      $ no_parallel_arg $ no_vectorize_arg $ no_interchange_arg $ no_fuse_arg
-      $ no_vreuse_arg $ no_doacross_sync_arg $ no_pointsto_arg $ no_range_arg
-      $ lint_arg
+      $ disabled_arg $ lint_arg
       $ why_scalar_arg $ noalias_arg
       $ vlen_arg $ procs_arg
       $ sched_arg $ dump_arg $ dump_asm_arg $ check_arg $ catalog_arg

@@ -2,19 +2,11 @@
    paper's order, and compile-and-run entry points against both the IL
    interpreter (reference semantics) and the Titan simulator (timing).
 
-   Pipeline (§5.2 fixes the placement: while→DO conversion runs right
-   after use-def chains are available, before the phases that simplify DO
-   loops):
-
-     parse → sema → lower
-       → inline (optional, catalogs + same file)
-       → constant propagation + unreachable code (§8) → DCE
-       → while→DO conversion (§5.2)
-       → induction-variable substitution (§5.3)
-       → constant propagation → DCE → unreachable postpass
-       → vectorize / parallelize (Allen-Kennedy distribution, §9)
-       → scalar replacement (§6) → strength reduction (§6)
-       → final DCE *)
+   The pipeline is parse → sema → lower, then {!pipeline}'s whole-program
+   prefix (catalog import, points-to, ranges, inlining), then the
+   per-function table {!passes}, whose order §5.2 fixes: while→DO
+   conversion right after use-def chains exist, before the phases that
+   simplify DO loops.  {!switches} lists the passes a user can turn off. *)
 
 module Support = Vpc_support
 module Il = Vpc_il
@@ -35,7 +27,7 @@ module Tune = Vpc_tune
    location (every loop header of a tuned nest maps to its nest's
    configuration) plus per-call-site inline verdicts.  [`Use] resolves a
    fingerprint-keyed store into this form with a scout compile; the
-   search driver ({!tune}) builds it directly. *)
+   autotuning search ({!tune}) builds it directly; both use {!plan_of}. *)
 type tune_plan = {
   tp_nests : (Support.Loc.t * Tune.Config.t) list;
   tp_calls : (Support.Loc.t * bool) list;
@@ -197,279 +189,181 @@ let after_prog_pass ?pointsto ?range options prog pass =
         ~pass prog
   | `Off | `Final -> ()
 
-(* Checkpoint after a per-function pass. *)
-let after_pass ?pointsto ?range options prog (f : Il.Func.t) pass =
-  let stage = Printf.sprintf "%s(%s)" pass f.Il.Func.name in
-  dump_stage options prog stage;
-  match options.verify with
-  | `Each_stage ->
-      Check.Verify.run_func ~assume_noalias:options.assume_noalias ?pointsto
-        ?range ~pass:stage prog f
-  | `Off | `Final -> ()
+let timed timer phase f =
+  match timer with Some t -> Support.Timing.time t phase f | None -> f ()
 
-(* The pass subset that shapes loop nests ahead of restructuring: what a
-   scout compile runs so {!Tune.Fingerprint} sees the nests exactly as
-   the search driver did.  Restructuring, codegen-facing passes,
-   diagnostics, and tuning itself are off; inlining and the scalar
-   pipeline keep their static policy. *)
-let scout_options options =
-  {
-    options with
-    vectorize = false;
-    parallelize = false;
-    interchange = false;
-    fuse = false;
-    vreuse = false;
-    doacross = false;
-    doacross_sync = false;
-    scalar_replacement = false;
-    strength_reduction = false;
-    verify = `Off;
-    dump = None;
-    report = None;
-    why_scalar = None;
-    tune = `Off;
-  }
+(* Callbacks off: what a scout or a tuning candidate compiles under. *)
+let quiet options =
+  { options with dump = None; verify = `Off; report = None; why_scalar = None;
+    tune = `Off }
 
-(* Run the optimization pipeline in place.  [timer] buckets the wall
-   time of each phase group for [--timings]. *)
-let rec optimize ?(options = default_options) ?(stats = new_stats ()) ?timer
-    (prog : Il.Prog.t) =
-  let timed phase f =
-    match timer with Some t -> Support.Timing.time t phase f | None -> f ()
-  in
-  (* Resolve the tuning request into a per-location plan before anything
-     mutates [prog]: [`Use] fingerprints a scout clone (which runs the
-     same prefix pipeline, including its own catalog import) and maps
-     matching store records back to this program's loops.  An empty store
-     resolves to no plan, so every hook below stays [None] and the
-     compile is byte-identical to an untuned one. *)
-  let plan =
-    match options.tune with
-    | `Off -> None
-    | `Plan p -> Some p
-    | `Use store ->
-        if Profile.Tuned.is_empty store then None
-        else
-          Some
-            (timed "tune" (fun () ->
-                 let clone = Il.Prog.clone prog in
-                 ignore (optimize ~options:(scout_options options) clone);
-                 let nests = Tune.Fingerprint.nests clone in
-                 List.fold_left
-                   (fun acc (n : Tune.Fingerprint.nest) ->
-                     match Profile.Tuned.find store n.Tune.Fingerprint.fp with
-                     | None -> acc
-                     | Some r -> (
-                         match
-                           Tune.Config.of_fields r.Profile.Tuned.fields
-                         with
-                         | exception _ -> acc (* unknown fields: skip *)
-                         | cfg ->
-                             {
-                               tp_nests =
-                                 List.map
-                                   (fun l -> (l, cfg))
-                                   n.Tune.Fingerprint.loop_locs
-                                 @ acc.tp_nests;
-                               tp_calls =
-                                 List.filter_map
-                                   (fun (site, callee) ->
-                                     match
-                                       List.assoc_opt callee
-                                         cfg.Tune.Config.inline_calls
-                                     with
-                                     | Some v -> Some (site, v)
-                                     | None -> None)
-                                   n.Tune.Fingerprint.calls
-                                 @ acc.tp_calls;
-                             }))
-                   empty_plan nests))
-  in
-  let nest_cfg loc =
-    match plan with None -> None | Some p -> List.assoc_opt loc p.tp_nests
-  in
-  let bool_gate get =
-    match plan with
-    | None -> None
-    | Some _ -> Some (fun loc -> Option.bind (nest_cfg loc) get)
-  in
-  let site_tune =
-    match plan with
-    | None -> None
-    | Some p -> Some (fun loc -> List.assoc_opt loc p.tp_calls)
-  in
-  timed "catalog-import" (fun () ->
-      List.iter
-        (fun file -> Inline.Catalog.import ~into:prog (Inline.Catalog.load file))
-        options.catalogs);
-  (* Whole-program points-to runs after catalog import so argument-to-
-     parameter bindings at known call sites are visible.  The verdicts
-     back the {!Dependence.Alias} oracle consulted wherever canonical
-     decomposition gives up; the oracle is process-global state, so it is
-     cleared on every exit path — a later compilation of a different
-     program must not see this one's graph.  Inlining rewrites bodies
-     wholesale, so the analysis is recomputed after it. *)
-  let analyze_pointsto () =
-    if options.pointsto then
-      Some (timed "pointsto" (fun () -> Pointsto.Pointsto.analyze prog))
-    else None
-  in
-  let pt = ref (analyze_pointsto ()) in
-  (* Symbolic ranges follow the same lifecycle: whole-program parameter
-     seeding up front (and again after inlining), per-function dataflow
-     on demand — optimization passes renumber statements, so each
-     consumer forces a fresh fenv over the function's current body. *)
-  let analyze_range () =
-    if options.range then
-      Some (timed "range" (fun () -> Range.Range.analyze prog))
-    else None
-  in
-  let rt = ref (analyze_range ()) in
-  let install_oracle () =
-    match !pt with
-    | None -> ()
-    | Some t ->
-        Dependence.Alias.set_oracle (fun e1 e2 ->
-            match Pointsto.Pointsto.verdict t e1 e2 with
-            | Some `No_alias -> Some Dependence.Alias.No_alias
-            | Some (`Must_alias d) -> Some (Dependence.Alias.Must_alias d)
-            | None -> None)
-  in
-  install_oracle ();
-  Fun.protect ~finally:Dependence.Alias.clear_oracle @@ fun () ->
-  let after_prog_pass pass =
-    after_prog_pass ?pointsto:!pt ?range:!rt options prog pass
-  in
-  let after_pass f pass =
-    after_pass ?pointsto:!pt ?range:!rt options prog f pass
-  in
-  let inline_options only =
-    {
-      Inline.Inline.default_options with
-      only;
-      profile = options.profile;
-      pointsto = !pt;
-      report = options.report;
-      site_tune;
-    }
-  in
-  (match options.inline with
-  | `None -> ()
-  | `All ->
-      timed "inline" (fun () ->
-          Inline.Inline.expand ~options:(inline_options None)
-            ~stats:stats.inline prog);
-      pt := analyze_pointsto ();
-      rt := analyze_range ();
-      install_oracle ();
-      after_prog_pass "inline"
-  | `Only names ->
-      timed "inline" (fun () ->
-          Inline.Inline.expand
-            ~options:(inline_options (Some names))
-            ~stats:stats.inline prog);
-      pt := analyze_pointsto ();
-      rt := analyze_range ();
-      install_oracle ();
-      after_prog_pass "inline");
-  (* A lazy per-function dataflow over [f]'s body right now; [None]
-     facts for statements the fenv does not know (fresh ids, or a stale
-     body) keep every consumer conservative. *)
-  let range_env_at f =
-    match !rt with
-    | None -> fun _ -> None
-    | Some t ->
-        let fe = lazy (Range.Range.analyze_func t prog f) in
-        fun (s : Il.Stmt.t) -> Range.Range.env_before (Lazy.force fe) s.Il.Stmt.id
-  in
-  let scalar_cleanup f =
-    if options.scalar_opt then begin
+(* The plan a set of tuned nests induces: every loop header of a nest
+   maps to its configuration, every call site in it to the
+   configuration's inline verdict for that callee. *)
+let plan_of (tuned : (Tune.Fingerprint.nest * Tune.Config.t) list) =
+  List.fold_left
+    (fun acc ((n : Tune.Fingerprint.nest), (cfg : Tune.Config.t)) ->
+      {
+        tp_nests =
+          List.map (fun l -> (l, cfg)) n.Tune.Fingerprint.loop_locs
+          @ acc.tp_nests;
+        tp_calls =
+          List.filter_map
+            (fun (site, callee) ->
+              Option.map
+                (fun v -> (site, v))
+                (List.assoc_opt callee cfg.Tune.Config.inline_calls))
+            n.Tune.Fingerprint.calls
+          @ acc.tp_calls;
+      })
+    empty_plan tuned
+
+(* ------------------------------------------------------------------ *)
+(* The per-function pass table                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* What a pass sees: the program, the options, the statistics sink, the
+   resolved tuning plan, and the whole-program analyses (recomputed
+   after inlining, hence mutable). *)
+type ctx = {
+  prog : Il.Prog.t;
+  options : options;
+  stats : stats;
+  timer : Support.Timing.t option;
+  plan : tune_plan option;
+  mutable points_to : Pointsto.Pointsto.t option;
+  mutable ranges : Range.Range.t option;
+}
+
+type pass = {
+  name : string;  (* the --dump-il / --verify-il stage name *)
+  enabled : options -> bool;
+  run : ctx -> Il.Func.t -> unit;
+}
+
+let nest_cfg ctx loc =
+  Option.bind ctx.plan (fun p -> List.assoc_opt loc p.tp_nests)
+
+(* A per-loop tri-state override read from the plan; [None] when
+   untuned, so an untuned compile takes the static policy unchanged. *)
+let tune_gate ctx get =
+  Option.map (fun _ loc -> Option.bind (nest_cfg ctx loc) get) ctx.plan
+
+(* A lazy per-function dataflow over [f]'s body right now; [None]
+   facts for statements the fenv does not know (fresh ids, or a stale
+   body) keep every consumer conservative.  Optimization passes
+   renumber statements, so each consumer forces a fresh fenv. *)
+let range_env_at ctx t f =
+  let fe = lazy (Range.Range.analyze_func t ctx.prog f) in
+  fun (s : Il.Stmt.t) -> Range.Range.env_before (Lazy.force fe) s.Il.Stmt.id
+
+let interval_at env_at s e =
+  match env_at s with
+  | None -> (None, None)
+  | Some env ->
+      let itv = Range.Range.interval_of_expr env e in
+      (itv.Range.Range.Interval.lo, itv.Range.Range.Interval.hi)
+
+(* The vectorizer's choice for a tuned nest: a mode pins scalar, vector
+   or parallel; a bare strip length keeps the static mode. *)
+let vector_choice options (c : Tune.Config.t) =
+  if c.Tune.Config.mode = None && c.Tune.Config.strip = None then None
+  else
+    let par =
+      match c.Tune.Config.mode with
+      | Some Tune.Config.Parallel -> true
+      | Some (Tune.Config.Scalar | Tune.Config.Vector) -> false
+      | None -> options.parallelize
+    in
+    Some
+      {
+        Vectorize.Vectorize.keep_scalar =
+          c.Tune.Config.mode = Some Tune.Config.Scalar;
+        strip_parallel = par;
+        scalar_parallel = par;
+        chosen_vlen = Option.value c.Tune.Config.strip ~default:options.vlen;
+      }
+
+let pass name enabled run =
+  { name; enabled; run = (fun ctx f -> ignore (run ctx f)) }
+
+let scalar_cleanup enabled =
+  pass "scalar-cleanup" enabled (fun ctx f ->
       let range =
-        match !rt with
-        | None -> None
-        | Some _ ->
-            let env_at = range_env_at f in
-            Some
-              (fun s c ->
-                match env_at s with
-                | None -> None
-                | Some env -> Range.Range.truth env c)
+        Option.map
+          (fun t ->
+            let env_at = range_env_at ctx t f in
+            fun s c ->
+              Option.bind (env_at s) (fun env -> Range.Range.truth env c))
+          ctx.ranges
       in
-      ignore (Analysis.Const_prop.run ~stats:stats.const_prop ?range prog f);
-      ignore (Analysis.Dce.run ~stats:stats.dce f);
-      ignore (Analysis.Unreachable.run ~stats:stats.unreachable f);
-      ignore (Analysis.Dce.run ~stats:stats.dce f);
-      after_pass f "scalar-cleanup"
-    end
-  in
-  timed "transforms" (fun () ->
-  List.iter
-    (fun f ->
-      scalar_cleanup f;
-      if options.while_conversion then begin
-        ignore (Transform.While_to_do.run ~stats:stats.while_to_do prog f);
-        after_pass f "while-to-do"
-      end;
-      if options.indvar_substitution then begin
-        ignore (Transform.Indvar.run ~stats:stats.indvar prog f);
-        after_pass f "indvar-substitution"
-      end;
-      scalar_cleanup f;
-      if options.indvar_substitution then begin
-        ignore (Transform.Forward_sub.run ~stats:stats.forward_sub prog f);
-        after_pass f "forward-substitution";
-        scalar_cleanup f
-      end;
-      (* Nest restructuring (§7) runs on the cleaned-up DO-loop form,
-         before codegen: fusion first (merging nests exposes more
-         statements to one strip loop), then interchange (the merged
-         nest is reordered as a whole). *)
-      if options.fuse then begin
-        let fopts =
-          {
-            Transform.Fuse.assume_noalias = options.assume_noalias;
-            parallelize = options.parallelize;
-            vlen = options.vlen;
-            profile = options.profile;
-            report = options.report;
-            tune = bool_gate (fun c -> c.Tune.Config.fuse);
-          }
-        in
-        ignore (Transform.Fuse.run ~options:fopts ~stats:stats.fuse prog f);
-        after_pass f "fuse"
-      end;
-      if options.interchange then begin
-        let iopts =
-          {
-            Transform.Interchange.assume_noalias = options.assume_noalias;
-            parallelize = options.parallelize;
-            vlen = options.vlen;
-            profile = options.profile;
-            report = options.report;
-            tune = bool_gate (fun c -> c.Tune.Config.interchange);
-          }
-        in
-        ignore
-          (Transform.Interchange.run ~options:iopts ~stats:stats.interchange
-             prog f);
-        after_pass f "interchange"
-      end;
-      if options.vectorize || options.parallelize then begin
-        let range_facts =
-          match !rt with
-          | None -> None
-          | Some _ ->
-              let env_at = range_env_at f in
-              Some
+      let st = ctx.stats in
+      ignore (Analysis.Const_prop.run ~stats:st.const_prop ?range ctx.prog f);
+      ignore (Analysis.Dce.run ~stats:st.dce f);
+      ignore (Analysis.Unreachable.run ~stats:st.unreachable f);
+      Analysis.Dce.run ~stats:st.dce f)
+
+(* The passes that shape loop nests ahead of restructuring.  A scout
+   compile runs exactly this prefix of {!passes}, so {!Tune.Fingerprint}
+   sees the nests as the autotuning search saw them. *)
+let scout_passes =
+  [
+    scalar_cleanup (fun o -> o.scalar_opt);
+    (* §5.2: while→DO right after use-def chains exist *)
+    pass "while-to-do" (fun o -> o.while_conversion) (fun ctx f ->
+        Transform.While_to_do.run ~stats:ctx.stats.while_to_do ctx.prog f);
+    (* §5.3 *)
+    pass "indvar-substitution" (fun o -> o.indvar_substitution) (fun ctx f ->
+        Transform.Indvar.run ~stats:ctx.stats.indvar ctx.prog f);
+    scalar_cleanup (fun o -> o.scalar_opt);
+    pass "forward-substitution" (fun o -> o.indvar_substitution) (fun ctx f ->
+        Transform.Forward_sub.run ~stats:ctx.stats.forward_sub ctx.prog f);
+    scalar_cleanup (fun o -> o.indvar_substitution && o.scalar_opt);
+  ]
+
+(* The full per-function pipeline, in order.  Nest restructuring (§7)
+   runs on the cleaned-up DO-loop form: fusion first (merging nests
+   exposes more statements to one strip loop), then interchange (the
+   merged nest is reordered as a whole). *)
+let passes =
+  scout_passes
+  @ [
+      pass "fuse" (fun o -> o.fuse) (fun ctx f ->
+          let o = ctx.options in
+          let options =
+            {
+              Transform.Fuse.assume_noalias = o.assume_noalias;
+              parallelize = o.parallelize;
+              vlen = o.vlen;
+              profile = o.profile;
+              report = o.report;
+              tune = tune_gate ctx (fun c -> c.Tune.Config.fuse);
+            }
+          in
+          Transform.Fuse.run ~options ~stats:ctx.stats.fuse ctx.prog f);
+      pass "interchange" (fun o -> o.interchange) (fun ctx f ->
+          let o = ctx.options in
+          let options =
+            {
+              Transform.Interchange.assume_noalias = o.assume_noalias;
+              parallelize = o.parallelize;
+              vlen = o.vlen;
+              profile = o.profile;
+              report = o.report;
+              tune = tune_gate ctx (fun c -> c.Tune.Config.interchange);
+            }
+          in
+          Transform.Interchange.run ~options ~stats:ctx.stats.interchange
+            ctx.prog f);
+      (* §9: Allen-Kennedy distribution, strip mining, do-parallel *)
+      pass "vectorize" (fun o -> o.vectorize || o.parallelize) (fun ctx f ->
+          let o = ctx.options in
+          let range =
+            Option.map
+              (fun t ->
+                let env_at = range_env_at ctx t f in
                 {
-                  Vectorize.Vectorize.rf_interval =
-                    (fun s e ->
-                      match env_at s with
-                      | None -> (None, None)
-                      | Some env ->
-                          let itv = Range.Range.interval_of_expr env e in
-                          (itv.Range.Range.Interval.lo, itv.Range.Range.Interval.hi));
+                  Vectorize.Vectorize.rf_interval = interval_at env_at;
                   rf_divisible =
                     (fun s e n ->
                       n > 0
@@ -486,143 +380,253 @@ let rec optimize ?(options = default_options) ?(stats = new_stats ()) ?timer
                               with
                               | Some k -> k mod n = 0
                               | None -> false)));
-                }
-        in
-        let vopts =
-          {
-            Vectorize.Vectorize.vectorize = options.vectorize;
-            parallelize = options.parallelize;
-            vlen = options.vlen;
-            assume_noalias = options.assume_noalias;
-            fuse_strips = options.fuse;
-            profile = options.profile;
-            report = options.report;
-            vreuse = options.vreuse;
-            why_scalar = options.why_scalar;
-            range = range_facts;
-            tune =
-              (match plan with
-              | None -> None
-              | Some _ ->
-                  Some
-                    (fun (s : Il.Stmt.t) ->
-                      match nest_cfg s.Il.Stmt.loc with
-                      | None -> None
-                      | Some (c : Tune.Config.t) -> (
-                          let vlen =
-                            match c.Tune.Config.strip with
-                            | Some v -> v
-                            | None -> options.vlen
-                          in
-                          match c.Tune.Config.mode with
-                          | Some Tune.Config.Scalar ->
-                              Some
-                                {
-                                  Vectorize.Vectorize.keep_scalar = true;
-                                  strip_parallel = false;
-                                  scalar_parallel = false;
-                                  chosen_vlen = vlen;
-                                }
-                          | Some Tune.Config.Vector ->
-                              Some
-                                {
-                                  Vectorize.Vectorize.keep_scalar = false;
-                                  strip_parallel = false;
-                                  scalar_parallel = false;
-                                  chosen_vlen = vlen;
-                                }
-                          | Some Tune.Config.Parallel ->
-                              Some
-                                {
-                                  Vectorize.Vectorize.keep_scalar = false;
-                                  strip_parallel = true;
-                                  scalar_parallel = true;
-                                  chosen_vlen = vlen;
-                                }
-                          | None -> (
-                              match c.Tune.Config.strip with
-                              | None -> None
-                              | Some v ->
-                                  Some
-                                    {
-                                      Vectorize.Vectorize.keep_scalar = false;
-                                      strip_parallel = options.parallelize;
-                                      scalar_parallel = options.parallelize;
-                                      chosen_vlen = v;
-                                    }))));
-          }
-        in
-        ignore
-          (Vectorize.Vectorize.run ~options:vopts ~stats:stats.vectorize prog f);
-        after_pass f "vectorize"
-      end;
-      if options.vreuse then begin
-        let ropts =
-          {
-            Transform.Vreuse.assume_noalias = options.assume_noalias;
-            profile = options.profile;
-            report = options.report;
-            tune = bool_gate (fun c -> c.Tune.Config.vreuse);
-          }
-        in
-        ignore (Transform.Vreuse.run ~options:ropts ~stats:stats.vreuse prog f);
-        after_pass f "vreuse"
-      end;
-      if options.doacross || options.doacross_sync then begin
-        let range_facts =
-          match !rt with
+                })
+              ctx.ranges
+          in
+          let options =
+            {
+              Vectorize.Vectorize.vectorize = o.vectorize;
+              parallelize = o.parallelize;
+              vlen = o.vlen;
+              assume_noalias = o.assume_noalias;
+              fuse_strips = o.fuse;
+              profile = o.profile;
+              report = o.report;
+              vreuse = o.vreuse;
+              why_scalar = o.why_scalar;
+              range;
+              tune =
+                Option.map
+                  (fun _ (s : Il.Stmt.t) ->
+                    Option.bind (nest_cfg ctx s.Il.Stmt.loc) (vector_choice o))
+                  ctx.plan;
+            }
+          in
+          Vectorize.Vectorize.run ~options ~stats:ctx.stats.vectorize ctx.prog
+            f);
+      pass "vreuse" (fun o -> o.vreuse) (fun ctx f ->
+          let o = ctx.options in
+          let options =
+            {
+              Transform.Vreuse.assume_noalias = o.assume_noalias;
+              profile = o.profile;
+              report = o.report;
+              tune = tune_gate ctx (fun c -> c.Tune.Config.vreuse);
+            }
+          in
+          Transform.Vreuse.run ~options ~stats:ctx.stats.vreuse ctx.prog f);
+      (* §10: pragma-marked list loops, post/wait pipelining *)
+      pass "doacross" (fun o -> o.doacross || o.doacross_sync) (fun ctx f ->
+          let o = ctx.options in
+          let options =
+            {
+              Transform.Doacross.default_options with
+              Transform.Doacross.pragma = o.doacross;
+              sync = o.doacross_sync;
+              assume_noalias = o.assume_noalias;
+              profile = o.profile;
+              report = o.report;
+              why_scalar = o.why_scalar;
+              range =
+                Option.map
+                  (fun t -> interval_at (range_env_at ctx t f))
+                  ctx.ranges;
+              tune = tune_gate ctx (fun c -> c.Tune.Config.doacross);
+            }
+          in
+          timed ctx.timer "doacross" (fun () ->
+              Transform.Doacross.run ~stats:ctx.stats.doacross ~options ctx.prog
+                f));
+      (* §6 *)
+      pass "scalar-replacement" (fun o -> o.scalar_replacement) (fun ctx f ->
+          Transform.Scalar_replace.run ~stats:ctx.stats.scalar_replace
+            ctx.prog f);
+      pass "strength-reduction" (fun o -> o.strength_reduction) (fun ctx f ->
+          Transform.Strength_reduction.run ~stats:ctx.stats.strength_reduction
+            ctx.prog f);
+      pass "dce" (fun o -> o.scalar_opt) (fun ctx f ->
+          Analysis.Dce.run ~stats:ctx.stats.dce f);
+    ]
+
+(* Run the enabled entries of [table] over every function, checkpointing
+   after each one: dump the IL and, at [`Each_stage], verify the
+   function so the pass that broke an invariant is named. *)
+let run_table ctx table =
+  let table = List.filter (fun p -> p.enabled ctx.options) table in
+  let o = ctx.options in
+  let after_pass f p =
+    let stage = Printf.sprintf "%s(%s)" p.name f.Il.Func.name in
+    dump_stage o ctx.prog stage;
+    match o.verify with
+    | `Each_stage ->
+        Check.Verify.run_func ~assume_noalias:o.assume_noalias
+          ?pointsto:ctx.points_to ?range:ctx.ranges ~pass:stage ctx.prog f
+    | `Off | `Final -> ()
+  in
+  timed ctx.timer "transforms" (fun () ->
+      List.iter
+        (fun f ->
+          List.iter
+            (fun p ->
+              p.run ctx f;
+              after_pass f p)
+            table)
+        ctx.prog.Il.Prog.funcs)
+
+(* Run the optimization pipeline in place: the whole-program prefix
+   (tune-plan resolution, catalog import, points-to, ranges, inlining),
+   then [table] per function.  [timer] buckets the wall time of each
+   phase group for [--timings]. *)
+let rec pipeline ~table ~options ~stats ~timer (prog : Il.Prog.t) =
+  (* Resolve the tuning request into a per-location plan before anything
+     mutates [prog]: [`Use] fingerprints a scout clone and maps matching
+     store records back to this program's loops.  An empty store
+     resolves to no plan, so every hook stays [None] and the compile is
+     byte-identical to an untuned one. *)
+  let plan =
+    match options.tune with
+    | `Off -> None
+    | `Plan p -> Some p
+    | `Use store when Profile.Tuned.is_empty store -> None
+    | `Use store ->
+        let stored (n : Tune.Fingerprint.nest) =
+          match Profile.Tuned.find store n.Tune.Fingerprint.fp with
           | None -> None
-          | Some _ ->
-              let env_at = range_env_at f in
-              Some
-                (fun (s : Il.Stmt.t) e ->
-                  match env_at s with
-                  | None -> (None, None)
-                  | Some env ->
-                      let itv = Range.Range.interval_of_expr env e in
-                      (itv.Range.Range.Interval.lo, itv.Range.Range.Interval.hi))
+          | Some r -> (
+              match Tune.Config.of_fields r.Profile.Tuned.fields with
+              | exception _ -> None (* unknown fields: skip *)
+              | cfg -> Some (n, cfg))
         in
-        let dopts =
-          {
-            Transform.Doacross.default_options with
-            Transform.Doacross.pragma = options.doacross;
-            sync = options.doacross_sync;
-            assume_noalias = options.assume_noalias;
-            profile = options.profile;
-            report = options.report;
-            why_scalar = options.why_scalar;
-            range = range_facts;
-            tune = bool_gate (fun c -> c.Tune.Config.doacross);
-          }
-        in
-        timed "doacross" (fun () ->
-            ignore
-              (Transform.Doacross.run ~stats:stats.doacross ~options:dopts prog
-                 f));
-        after_pass f "doacross"
-      end;
-      if options.scalar_replacement then begin
-        ignore (Transform.Scalar_replace.run ~stats:stats.scalar_replace prog f);
-        after_pass f "scalar-replacement"
-      end;
-      if options.strength_reduction then begin
-        ignore
-          (Transform.Strength_reduction.run ~stats:stats.strength_reduction prog
-             f);
-        after_pass f "strength-reduction"
-      end;
-      if options.scalar_opt then begin
-        ignore (Analysis.Dce.run ~stats:stats.dce f);
-        after_pass f "dce"
-      end)
-    prog.Il.Prog.funcs);
+        Some
+          (timed timer "tune" (fun () ->
+               let clone = Il.Prog.clone prog in
+               scout ~options clone;
+               plan_of (List.filter_map stored (Tune.Fingerprint.nests clone))))
+  in
+  timed timer "catalog-import" (fun () ->
+      List.iter
+        (fun file ->
+          Inline.Catalog.import ~into:prog (Inline.Catalog.load file))
+        options.catalogs);
+  (* Whole-program points-to runs after catalog import so argument-to-
+     parameter bindings at known call sites are visible.  The verdicts
+     back the {!Dependence.Alias} oracle consulted wherever canonical
+     decomposition gives up; the oracle is process-global state, so it is
+     cleared on every exit path — a later compilation of a different
+     program must not see this one's graph.  Symbolic ranges seed
+     parameters the same way.  Inlining rewrites bodies wholesale, so
+     both are recomputed after it. *)
+  let ctx =
+    { prog; options; stats; timer; plan; points_to = None; ranges = None }
+  in
+  let analyze () =
+    if options.pointsto then
+      ctx.points_to <-
+        Some
+          (timed timer "pointsto" (fun () -> Pointsto.Pointsto.analyze prog));
+    if options.range then
+      ctx.ranges <-
+        Some (timed timer "range" (fun () -> Range.Range.analyze prog));
+    Option.iter
+      (fun t ->
+        Dependence.Alias.set_oracle (fun e1 e2 ->
+            match Pointsto.Pointsto.verdict t e1 e2 with
+            | Some `No_alias -> Some Dependence.Alias.No_alias
+            | Some (`Must_alias d) -> Some (Dependence.Alias.Must_alias d)
+            | None -> None))
+      ctx.points_to
+  in
+  analyze ();
+  Fun.protect ~finally:Dependence.Alias.clear_oracle @@ fun () ->
+  let inline only =
+    let iopts =
+      {
+        Inline.Inline.default_options with
+        only;
+        profile = options.profile;
+        pointsto = ctx.points_to;
+        report = options.report;
+        site_tune =
+          Option.map (fun p loc -> List.assoc_opt loc p.tp_calls) plan;
+      }
+    in
+    timed timer "inline" (fun () ->
+        Inline.Inline.expand ~options:iopts ~stats:stats.inline prog);
+    analyze ();
+    after_prog_pass ?pointsto:ctx.points_to ?range:ctx.ranges options prog
+      "inline"
+  in
+  (match options.inline with
+  | `None -> ()
+  | `All -> inline None
+  | `Only names -> inline (Some names));
+  run_table ctx table;
   dump_stage options prog "final";
   (match options.verify with
   | `Final | `Each_stage ->
-      Check.Verify.run ~assume_noalias:options.assume_noalias ?pointsto:!pt
-        ?range:!rt ~pass:"final" prog
+      Check.Verify.run ~assume_noalias:options.assume_noalias
+        ?pointsto:ctx.points_to ?range:ctx.ranges ~pass:"final" prog
   | `Off -> ());
   stats
+
+(* The scout compile: the whole-program prefix and {!scout_passes} under
+   [options]' static policy, callbacks and tuning off. *)
+and scout ?(options = default_options) prog =
+  ignore
+    (pipeline ~table:scout_passes ~options:(quiet options)
+       ~stats:(new_stats ()) ~timer:None prog)
+
+let optimize ?(options = default_options) ?(stats = new_stats ()) ?timer prog =
+  pipeline ~table:passes ~options ~stats ~timer prog
+
+(* The [--no-<name>] switches: each turns one pass or analysis off on
+   top of an -O level.  titancc builds its flags from this list and the
+   compile service validates and keys requests by it. *)
+type switch = { name : string; doc : string; off : options -> options }
+
+let switches =
+  [
+    { name = "parallel"; doc = "Disable parallelization";
+      off = (fun o -> { o with parallelize = false }) };
+    { name = "vectorize"; doc = "Disable vectorization";
+      off = (fun o -> { o with vectorize = false }) };
+    { name = "interchange"; doc = "Disable loop interchange (nest reordering)";
+      off = (fun o -> { o with interchange = false }) };
+    { name = "fuse"; doc = "Disable loop fusion and strip sharing";
+      off = (fun o -> { o with fuse = false }) };
+    {
+      name = "vreuse";
+      doc =
+        "Disable vector-register reuse (invariant Vload hoisting, \
+         Vstore-to-Vload forwarding, strip-resident accumulators)";
+      off = (fun o -> { o with vreuse = false });
+    };
+    {
+      name = "doacross-sync";
+      doc =
+        "Disable doacross pipelining of carried-dependence DO loops with \
+         post/wait synchronization (on by default at -O2 and above); such \
+         loops stay serial";
+      off = (fun o -> { o with doacross_sync = false });
+    };
+    {
+      name = "pointsto";
+      doc =
+        "Disable the interprocedural points-to and mod/ref analysis (on by \
+         default at -O2 and above); dependence testing, the race checker, \
+         and inline ranking fall back to worst-case aliasing";
+      off = (fun o -> { o with pointsto = false });
+    };
+    {
+      name = "range";
+      doc =
+        "Disable the interprocedural symbolic range and scalar-evolution \
+         analysis (on by default at -O2 and above); dependence testing falls \
+         back to unknown symbolic distances and strip loops keep their \
+         runtime length guards";
+      off = (fun o -> { o with range = false });
+    };
+  ]
 
 (* Front end only. *)
 let parse ?file src : Il.Prog.t = Cfront.Frontend.compile ?file src
@@ -694,10 +698,7 @@ type tune_result = {
    toward the static default. *)
 let tune ?(options = default_options) ?(config = Titan.Machine.default_config)
     ?(budget = 4) ?(stamp = 1) ?report ?timer ?file src : tune_result =
-  let timed phase f =
-    match timer with Some t -> Support.Timing.time t phase f | None -> f ()
-  in
-  timed "tune" @@ fun () ->
+  timed timer "tune" @@ fun () ->
   let say fmt =
     Printf.ksprintf
       (fun m -> match report with Some r -> r ("[tune] " ^ m) | None -> ())
@@ -715,12 +716,8 @@ let tune ?(options = default_options) ?(config = Titan.Machine.default_config)
     let p = Il.Prog.clone base in
     let opts =
       {
-        options with
+        (quiet options) with
         tune = (match plan with None -> `Off | Some pl -> `Plan pl);
-        dump = None;
-        report = None;
-        why_scalar = None;
-        verify = `Off;
       }
     in
     ignore (optimize ~options:opts p);
@@ -739,7 +736,7 @@ let tune ?(options = default_options) ?(config = Titan.Machine.default_config)
      point [`Use] replay fingerprints, so winners recorded here match *)
   let nests =
     let p = Il.Prog.clone base in
-    ignore (optimize ~options:(scout_options options) p);
+    scout ~options p;
     Tune.Fingerprint.nests p
   in
   let score (n : Tune.Fingerprint.nest) =
@@ -775,24 +772,6 @@ let tune ?(options = default_options) ?(config = Titan.Machine.default_config)
   let stats = Tune.Search.new_stats () in
   let store = ref Profile.Tuned.empty in
   let winners = ref [] in
-  let plan_of extra =
-    List.fold_left
-      (fun acc ((n : Tune.Fingerprint.nest), (cfg : Tune.Config.t)) ->
-        {
-          tp_nests =
-            List.map (fun l -> (l, cfg)) n.Tune.Fingerprint.loop_locs
-            @ acc.tp_nests;
-          tp_calls =
-            List.filter_map
-              (fun (site, callee) ->
-                Option.map
-                  (fun v -> (site, v))
-                  (List.assoc_opt callee cfg.Tune.Config.inline_calls))
-              n.Tune.Fingerprint.calls
-            @ acc.tp_calls;
-        })
-      empty_plan extra
-  in
   let current = ref static_cycles in
   let improved = ref 0 in
   List.iter

@@ -46,6 +46,7 @@ let handle_conn cache (config : config) fd : [ `Continue | `Stop ] =
          end;
          reply (Protocol.Compiled res)
        with
+      | Service.Invalid_options m -> reply (Protocol.Error m)
       | Diag.Error_exn d -> reply (Protocol.Error (Diag.to_string d))
       | Sexp.Parse_error m -> reply (Protocol.Error ("parse error: " ^ m))
       | Sys_error m -> reply (Protocol.Error m));

@@ -30,14 +30,7 @@ open Vpc.Il
 type copts = {
   opt_level : int;  (* 0..3 *)
   inline_only : string list;
-  no_parallel : bool;
-  no_vectorize : bool;
-  no_interchange : bool;
-  no_fuse : bool;
-  no_vreuse : bool;
-  no_doacross_sync : bool;
-  no_pointsto : bool;
-  no_range : bool;
+  disabled : string list;  (* {!Vpc.switches} names, as --no-<name> *)
   assume_noalias : bool;
   vlen : int;
   catalogs : string list;
@@ -49,14 +42,7 @@ let default_copts =
   {
     opt_level = 3;
     inline_only = [];
-    no_parallel = false;
-    no_vectorize = false;
-    no_interchange = false;
-    no_fuse = false;
-    no_vreuse = false;
-    no_doacross_sync = false;
-    no_pointsto = false;
-    no_range = false;
+    disabled = [];
     assume_noalias = false;
     vlen = 32;
     catalogs = [];
@@ -66,76 +52,87 @@ let default_copts =
 
 let copts_to_sexp (c : copts) =
   let open Sexp in
+  let atoms l = list (List.map atom l) in
   list
     [
       int c.opt_level;
-      list (List.map atom c.inline_only);
-      bool c.no_parallel;
-      bool c.no_vectorize;
-      bool c.no_interchange;
-      bool c.no_fuse;
-      bool c.no_vreuse;
-      bool c.no_doacross_sync;
-      bool c.no_pointsto;
-      bool c.no_range;
+      atoms c.inline_only;
+      atoms c.disabled;
       bool c.assume_noalias;
       int c.vlen;
-      list (List.map atom c.catalogs);
-      list (List.map atom (Option.to_list c.profile_use));
-      list (List.map atom (Option.to_list c.tune_use));
+      atoms c.catalogs;
+      atoms (Option.to_list c.profile_use);
+      atoms (Option.to_list c.tune_use);
     ]
 
 let copts_of_sexp s =
   let open Sexp in
+  let path what = function
+    | [] -> None
+    | [ p ] -> Some (as_atom p)
+    | _ -> raise (Parse_error ("copts: bad " ^ what))
+  in
   match s with
   | List
       [
-        lvl; List only; np; nv; ni; nf; nvr; nds; npt; nr; na; vlen;
-        List cats; List prof; List tune;
+        lvl; List only; List disabled; na; vlen; List cats; List prof;
+        List tune;
       ] ->
       {
         opt_level = as_int lvl;
         inline_only = List.map as_atom only;
-        no_parallel = as_bool np;
-        no_vectorize = as_bool nv;
-        no_interchange = as_bool ni;
-        no_fuse = as_bool nf;
-        no_vreuse = as_bool nvr;
-        no_doacross_sync = as_bool nds;
-        no_pointsto = as_bool npt;
-        no_range = as_bool nr;
+        disabled = List.map as_atom disabled;
         assume_noalias = as_bool na;
         vlen = as_int vlen;
         catalogs = List.map as_atom cats;
-        profile_use =
-          (match prof with [] -> None | [ p ] -> Some (as_atom p)
-          | _ -> raise (Parse_error "copts: bad profile"));
-        tune_use =
-          (match tune with [] -> None | [ p ] -> Some (as_atom p)
-          | _ -> raise (Parse_error "copts: bad tune store"));
+        profile_use = path "profile" prof;
+        tune_use = path "tune store" tune;
       }
   | _ -> raise (Parse_error "copts: bad shape")
 
+exception Invalid_options of string
+
+(* The one check the CLI and the daemon share: a request that passes it
+   compiles; one that fails is a diagnostic, never a crash. *)
+let validate (c : copts) =
+  let fail fmt = Printf.ksprintf (fun m -> raise (Invalid_options m)) fmt in
+  if c.opt_level < 0 || c.opt_level > 3 then
+    fail "-O must be 0..3 (got %d)" c.opt_level;
+  if c.vlen < 1 then fail "--vlen must be at least 1 (got %d)" c.vlen;
+  let names = List.map (fun (s : Vpc.switch) -> s.Vpc.name) Vpc.switches in
+  List.iter
+    (fun n ->
+      if not (List.mem n names) then
+        fail "unknown switch %S (one of: %s)" n (String.concat ", " names))
+    c.disabled
+
+let level = function 0 -> Vpc.o0 | 1 -> Vpc.o1 | 2 -> Vpc.o2 | _ -> Vpc.o3
+
+(* The switches on at [c]'s level and not disabled by it, sorted: two
+   spellings of the same option set share this list.  The level presets
+   are plain data, so a switch is on where turning it off changes them. *)
+let switches_on (c : copts) =
+  let base = level c.opt_level in
+  List.filter_map
+    (fun (s : Vpc.switch) ->
+      if s.Vpc.off base <> base && not (List.mem s.Vpc.name c.disabled) then
+        Some s.Vpc.name
+      else None)
+    Vpc.switches
+  |> List.sort String.compare
+
 let to_options (c : copts) : Vpc.options =
+  validate c;
   let base =
-    match c.opt_level with
-    | 0 -> Vpc.o0
-    | 1 -> Vpc.o1
-    | 2 -> Vpc.o2
-    | _ -> Vpc.o3
+    List.fold_left
+      (fun o (s : Vpc.switch) ->
+        if List.mem s.Vpc.name c.disabled then s.Vpc.off o else o)
+      (level c.opt_level) Vpc.switches
   in
   {
     base with
     Vpc.inline =
       (match c.inline_only with [] -> base.Vpc.inline | ns -> `Only ns);
-    parallelize = base.Vpc.parallelize && not c.no_parallel;
-    vectorize = base.Vpc.vectorize && not c.no_vectorize;
-    interchange = base.Vpc.interchange && not c.no_interchange;
-    fuse = base.Vpc.fuse && not c.no_fuse;
-    vreuse = base.Vpc.vreuse && not c.no_vreuse;
-    doacross_sync = base.Vpc.doacross_sync && not c.no_doacross_sync;
-    pointsto = base.Vpc.pointsto && not c.no_pointsto;
-    range = base.Vpc.range && not c.no_range;
     assume_noalias = c.assume_noalias;
     vlen = c.vlen;
     catalogs = c.catalogs;
@@ -192,15 +189,25 @@ let asm_texts (prog : Prog.t) : (string * string) list =
 
 (* Keys ------------------------------------------------------------------- *)
 
-let schema_tag = "titancc-cache-2"
+let schema_tag = "titancc-cache-3"
 
+(* The effective option set: switches enter as the ones actually on, so
+   [-O1 --no-vectorize] keys like [-O1]; paths stay out, because
+   catalogs, profiles and tune stores enter keys by content — the same
+   catalog reached via a different path must hit, an edited catalog at
+   the same path must miss. *)
 let options_fp (c : copts) =
-  (* paths out, contents in: the same catalog reached via a different
-     path must hit, an edited catalog at the same path must miss *)
+  let open Sexp in
   Fingerprint.digest_string
-    (Sexp.to_string
-       (copts_to_sexp
-          { c with catalogs = []; profile_use = None; tune_use = None }))
+    (to_string
+       (list
+          [
+            int c.opt_level;
+            list (List.map atom c.inline_only);
+            list (List.map atom (switches_on c));
+            bool c.assume_noalias;
+            int c.vlen;
+          ]))
 
 type keyed = {
   k_comps : Components.t;

@@ -214,10 +214,35 @@ let volatile_device_loop () =
   check_contains "busy-wait loop survives" ~needle:"while" il;
   check_contains "keyboard_status read survives" ~needle:"keyboard_status" il
 
+(* The pass table fixes the stage sequence --dump-il prints: one
+   checkpoint per enabled entry per function, between the whole-program
+   "front-end"/"inline" stages and "final". *)
+let dump_stage_sequence () =
+  let ic = open_in_bin "../examples/saxpy_chain.c" in
+  let src = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let stages = ref [] in
+  let options =
+    { Vpc.o3 with Vpc.dump = Some (fun stage _ -> stages := stage :: !stages) }
+  in
+  ignore (Vpc.compile ~options src);
+  Alcotest.(check (list string))
+    "saxpy_chain at -O3"
+    [
+      "front-end"; "inline"; "scalar-cleanup(main)"; "while-to-do(main)";
+      "indvar-substitution(main)"; "scalar-cleanup(main)";
+      "forward-substitution(main)"; "scalar-cleanup(main)"; "fuse(main)";
+      "interchange(main)"; "vectorize(main)"; "vreuse(main)";
+      "doacross(main)"; "scalar-replacement(main)";
+      "strength-reduction(main)"; "dce(main)"; "final";
+    ]
+    (List.rev !stages)
+
 let tests =
   [
     Alcotest.test_case "§9 daxpy walkthrough" `Quick daxpy_section9;
     Alcotest.test_case "program suite" `Slow program_suite;
     Alcotest.test_case "random programs" `Slow random_programs;
     Alcotest.test_case "volatile device loop" `Quick volatile_device_loop;
+    Alcotest.test_case "dump-il stage sequence" `Quick dump_stage_sequence;
   ]

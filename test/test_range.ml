@@ -376,6 +376,22 @@ let interp_rejects_zero_step () =
   | exception Il.Interp.Runtime_error _ -> ()
   | _ -> Alcotest.fail "expected a runtime error for a zero-step DO loop"
 
+(* A loop parallelized scalar on a range-proved symbolic distance (the
+   vectorizer off) must re-prove in the verifier, which consults the
+   same ranges. *)
+let parallel_scalar_reproves () =
+  let ic = open_in_bin "../examples/symbolic.c" in
+  let src = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let options = { Vpc.o2 with Vpc.vectorize = false; verify = `Each_stage } in
+  match Vpc.compile ~options src with
+  | exception Vpc.Check.Verify.Failed diags ->
+      Alcotest.failf "verifier rejected: %s"
+        (String.concat "; " (List.map Vpc.Support.Diag.to_string diags))
+  | prog, _ ->
+      check_contains "shift runs parallel" ~needle:"do parallel"
+        (Il.Pp.func_to_string prog (Il.Prog.func_exn prog "shift"))
+
 let tests =
   [
     Alcotest.test_case "interval lattice" `Quick interval_lattice;
@@ -390,6 +406,8 @@ let tests =
     Alcotest.test_case "lint: seeded bugs" `Quick lint_seeded_bugs;
     Alcotest.test_case "lint: clean code" `Quick lint_clean_on_correct_code;
     Alcotest.test_case "degenerate DO advisory" `Quick degenerate_do_advisory;
+    Alcotest.test_case "parallel scalar loop re-proves" `Quick
+      parallel_scalar_reproves;
     Alcotest.test_case "interp rejects zero step" `Quick
       interp_rejects_zero_step;
   ]

@@ -122,7 +122,23 @@ let test_key_option_flip () =
     (key_of_member base "top") (key_of_member flipped "top");
   let o2 = keys_of ~opts:{ S.default_copts with S.opt_level = 2 } (chain_src ()) in
   check Alcotest.(neg string) "opt level changes the key"
-    (key_of_member base "top") (key_of_member o2 "top")
+    (key_of_member base "top") (key_of_member o2 "top");
+  (* switches key by the effective set: spellings that yield the same
+     options hit, a switch that is on and gets turned off misses *)
+  let key opt_level disabled =
+    key_of_member
+      (keys_of ~opts:{ S.default_copts with S.opt_level; disabled } (chain_src ()))
+      "top"
+  in
+  checks "-O1 --no-vectorize keys like -O1" (key 1 []) (key 1 [ "vectorize" ]);
+  checks "-O2 --no-fuse keys like -O2" (key 2 []) (key 2 [ "fuse" ]);
+  checks "order and repeats do not matter"
+    (key 3 [ "range"; "pointsto" ])
+    (key 3 [ "pointsto"; "range"; "pointsto" ]);
+  check Alcotest.(neg string) "-O3 --no-vectorize misses -O3" (key 3 [])
+    (key 3 [ "vectorize" ]);
+  check Alcotest.(neg string) "-O2 --no-range misses -O2" (key 2 [])
+    (key 2 [ "range" ])
 
 let test_key_invalidation_cone () =
   let base = keys_of (chain_src ()) in
@@ -354,6 +370,93 @@ let test_daemon_roundtrip () =
           checkb "daemon counted hits" true (s.C.s_hits > 0)
       | _ -> Alcotest.fail "expected a Stats reply")
 
+(* Switches ---------------------------------------------------------------- *)
+
+(* Every {!Vpc.switches} entry survives the wire, and the CLI's
+   --no-<name> flag, the daemon's decoded request, and the switch's own
+   [off] agree on the options and on the compiled artifact. *)
+let test_switches_cli_equals_daemon () =
+  let src = read_example "saxpy_chain.c" in
+  List.iter
+    (fun (sw : Vpc.switch) ->
+      let name = sw.Vpc.name in
+      let copts = { S.default_copts with S.disabled = [ name ] } in
+      let wired =
+        S.copts_to_sexp copts |> Vpc.Support.Sexp.to_string
+        |> Vpc.Support.Sexp.of_string |> S.copts_of_sexp
+      in
+      checkb (name ^ ": copts sexp round-trip") true (wired = copts);
+      checkb (name ^ ": daemon options = CLI options") true
+        (S.to_options wired = S.to_options copts);
+      checkb (name ^ ": options = switch off at -O3") true
+        (S.to_options copts = sw.Vpc.off Vpc.o3);
+      let cli =
+        let out = Filename.temp_file "switch" ".asm" in
+        let cmd =
+          Printf.sprintf "../bin/titancc.exe ../examples/saxpy_chain.c --no-%s \
+                          --dump-asm --no-run -q > %s" name out
+        in
+        Alcotest.(check int) (name ^ ": CLI exit") 0 (Sys.command cmd);
+        let ic = open_in_bin out in
+        let text = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        Sys.remove out;
+        text
+      in
+      let served =
+        S.compile (C.create ()) (req ~name:"saxpy_chain.c" ~opts:copts src)
+      in
+      checks (name ^ ": CLI asm = served asm") cli served.S.res_asm)
+    Vpc.switches
+
+(* A bad option set is a diagnostic at the shared boundary: the daemon
+   answers Error and keeps serving. *)
+let test_daemon_rejects_bad_options () =
+  let socket_path = Filename.temp_file "titancc" ".sock" in
+  Sys.remove socket_path;
+  let server =
+    Domain.spawn (fun () ->
+        Vpc_server.Daemon.serve
+          { Vpc_server.Daemon.socket_path; verbose = false }
+          (C.create ()))
+  in
+  let rec wait n =
+    if n = 0 then Alcotest.fail "daemon socket never appeared";
+    if not (Sys.file_exists socket_path) then begin
+      Unix.sleepf 0.05;
+      wait (n - 1)
+    end
+  in
+  wait 100;
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         ignore
+           (Vpc_server.Protocol.request ~socket:socket_path
+              Vpc_server.Protocol.Shutdown)
+       with _ -> ());
+      Domain.join server)
+    (fun () ->
+      let ask opts =
+        Vpc_server.Protocol.request ~socket:socket_path
+          (Vpc_server.Protocol.Compile (req ~opts (chain_src ())))
+      in
+      List.iter
+        (fun (what, opts) ->
+          match ask opts with
+          | Vpc_server.Protocol.Error _ -> ()
+          | _ -> Alcotest.failf "%s: expected an Error reply" what)
+        [
+          ("vlen 0", { S.default_copts with S.vlen = 0 });
+          ("vlen -4", { S.default_copts with S.vlen = -4 });
+          ("-O 7", { S.default_copts with S.opt_level = 7 });
+          ("unknown switch", { S.default_copts with S.disabled = [ "frob" ] });
+        ];
+      match ask S.default_copts with
+      | Vpc_server.Protocol.Compiled r ->
+          checkb "the next valid request compiles" true (r.S.res_funcs > 0)
+      | _ -> Alcotest.fail "expected a Compiled reply after the errors")
+
 let tests =
   [
     Alcotest.test_case "fingerprint: comments and whitespace" `Quick
@@ -375,4 +478,8 @@ let tests =
       test_worklist_equals_naive;
     Alcotest.test_case "daemon: protocol round-trip" `Quick
       test_daemon_roundtrip;
+    Alcotest.test_case "daemon: bad options rejected" `Quick
+      test_daemon_rejects_bad_options;
+    Alcotest.test_case "switches: CLI equals daemon" `Quick
+      test_switches_cli_equals_daemon;
   ]

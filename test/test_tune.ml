@@ -15,7 +15,7 @@ let read_file path =
 (* The nests the scout compile fingerprints, at [options]'s pipeline. *)
 let nests_of ?(options = Vpc.o3) src =
   let prog = Vpc.parse src in
-  ignore (Vpc.optimize ~options:(Vpc.scout_options options) prog);
+  Vpc.scout ~options prog;
   Tune.Fingerprint.nests prog
 
 (* Deterministic name-sorted Titan listing, as --dump-asm prints it. *)

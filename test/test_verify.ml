@@ -481,7 +481,12 @@ let cli_exit_codes () =
            [ path; "-O"; "0"; "--check"; "-q"; "--inject-fault"; "wrong-const" ]);
       Alcotest.(check int) "unknown fault kind exits 1" 1
         (run_cli
-           [ path; "-O"; "0"; "--no-run"; "-q"; "--inject-fault"; "bogus" ]))
+           [ path; "-O"; "0"; "--no-run"; "-q"; "--inject-fault"; "bogus" ]);
+      List.iter
+        (fun bad ->
+          Alcotest.(check int) (String.concat " " bad ^ " exits 1") 1
+            (run_cli (path :: bad)))
+        [ [ "--vlen"; "0" ]; [ "--vlen=-4" ]; [ "-O"; "7" ] ])
 
 let tests =
   [
