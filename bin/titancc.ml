@@ -244,7 +244,8 @@ let run_compiler file opt_level inline_only disabled lint why_scalar
          reference: catches miscompiles that hit the interpreter and the
          simulator identically (both run the same optimized IL) *)
       let ref_prog, _ = Vpc.compile ~options:Vpc.o0 ~file src in
-      let ref_out = (Vpc.run_interp ref_prog).Vpc.Il.Interp.stdout_text in
+      let ref_state, ref_run = Vpc.Il.Interp.run_with_state ref_prog in
+      let ref_out = ref_run.Vpc.Il.Interp.stdout_text in
       let opt_out = (Vpc.run_interp prog).Vpc.Il.Interp.stdout_text in
       if opt_out <> ref_out then begin
         Printf.eprintf
@@ -260,9 +261,17 @@ let run_compiler file opt_level inline_only disabled lint why_scalar
           ref_out result.stdout_text;
         exit 2
       end
-      else if not quiet then
-        Printf.eprintf
-          "check: outputs agree (reference interp, optimized interp, simulator)\n"
+      else
+        match Vpc.globals_mismatch ~reference:ref_prog ref_state prog result with
+        | Some m ->
+            Printf.eprintf
+              "CHECK FAILED: simulator memory diverges from the -O0 reference: %s\n" m;
+            exit 2
+        | None ->
+            if not quiet then
+              Printf.eprintf
+                "check: outputs and globals agree (reference interp, optimized \
+                 interp, simulator)\n"
     end;
     if not quiet then begin
       let m = result.metrics in

@@ -141,7 +141,12 @@ let is_comparison : Expr.binop -> bool = function
 let rec gen_expr ce (e : Expr.t) : operand =
   match e.Expr.desc with
   | Expr.Const_int n -> Imm_int n
-  | Expr.Const_float f -> Imm_float f
+  | Expr.Const_float f -> (
+      (* a float-typed constant is a single-precision value, as the IL
+         interpreter evaluates it *)
+      match e.Expr.ty with
+      | Ty.Float -> Imm_float (Int32.float_of_bits (Int32.bits_of_float f))
+      | _ -> Imm_float f)
   | Expr.Var id ->
       let v = var_meta ce.e id in
       if Hashtbl.mem ce.addressed id || Var.is_memory_object v || v.volatile

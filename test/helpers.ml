@@ -15,11 +15,14 @@ let titan_output ?config prog =
 
 (* Compile [src] at every level and run on the interpreter and the Titan
    simulator in several configurations; all outputs must equal the O0
-   interpreter output. *)
+   interpreter output, and every simulated run must leave the arithmetic
+   globals bit for bit as the O0 interpreter run left them. *)
 let all_levels = [ ("O0", Vpc.o0); ("O1", Vpc.o1); ("O2", Vpc.o2); ("O3", Vpc.o3) ]
 
 let assert_all_configs_agree ?(levels = all_levels) name src =
-  let reference = interp_output (compile ~options:Vpc.o0 src) in
+  let reference_prog = compile ~options:Vpc.o0 src in
+  let reference_state, reference_run = Vpc.Il.Interp.run_with_state reference_prog in
+  let reference = reference_run.Vpc.Il.Interp.stdout_text in
   List.iter
     (fun (lname, options) ->
       let prog = compile ~options src in
@@ -29,10 +32,14 @@ let assert_all_configs_agree ?(levels = all_levels) name src =
         reference i_out;
       List.iter
         (fun (cname, config) ->
-          let t_out = titan_output ~config prog in
+          let run = Vpc.run_titan ~config prog in
           Alcotest.(check string)
             (Printf.sprintf "%s: titan %s at %s" name cname lname)
-            reference t_out)
+            reference run.Vpc.Titan.Machine.stdout_text;
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: titan %s globals at %s" name cname lname)
+            None
+            (Vpc.globals_mismatch ~reference:reference_prog reference_state prog run))
         [
           ("seq", { Vpc.Titan.Machine.default_config with sched = Vpc.Titan.Machine.Sequential });
           ("cons", { Vpc.Titan.Machine.default_config with sched = Vpc.Titan.Machine.Overlap_conservative });
