@@ -269,7 +269,10 @@ let eval_binop op ty (a : value) (b : value) =
       | Rem | Shl | Shr | Band | Bor | Bxor -> error "float bitop"
       | Eq | Ne | Lt | Le | Gt | Ge -> error "comparison typed float"
     in
-    V_float (if ty = Ty.Float then Int32.float_of_bits (Int32.bits_of_float r) else r)
+    V_float
+      (match ty with
+      | Ty.Float -> Int32.float_of_bits (Int32.bits_of_float r)
+      | _ -> r)
   else
     match op with
     | Eq | Ne | Lt | Le | Gt | Ge -> error "comparison reached arithmetic path"
@@ -322,8 +325,10 @@ let rec eval st fr (e : Expr.t) : value =
   match e.desc with
   | Const_int n -> V_int n
   | Const_float f ->
-      if e.ty = Ty.Float then V_float (Int32.float_of_bits (Int32.bits_of_float f))
-      else V_float f
+      V_float
+        (match e.ty with
+        | Ty.Float -> Int32.float_of_bits (Int32.bits_of_float f)
+        | _ -> f)
   | Var id -> (
       let v = var_of st fr id in
       let stored =
